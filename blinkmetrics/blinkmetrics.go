@@ -201,7 +201,7 @@ func WritePrometheus(w io.Writer, m blinktree.Metrics) error {
 	p.printf("blinktree_build_info{version=%q,goversion=%q,tags=%q,revision=%q} 1\n",
 		buildinfo.Version(), buildinfo.GoVersion(), buildinfo.Tags(), buildinfo.Revision())
 
-	p.header("blinktree_ops_total", "Completed operations by class.", "counter")
+	p.header("blinktree_ops_total", "Completed operations by class; op=\"scan\" counts records returned by scans and cursors.", "counter")
 	for _, v := range []struct {
 		op string
 		n  uint64

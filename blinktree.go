@@ -353,7 +353,17 @@ func (t *Tree) Delete(key []byte) error { return t.inner.Delete(key) }
 
 // Scan calls fn for each record in [start, end) in key order; fn returning
 // false stops the scan. start nil/empty scans from the smallest key; end
-// nil scans to the largest. No latches are held across fn calls.
+// nil scans to the largest.
+//
+// Records are read a leaf at a time: the rest of a leaf is copied under
+// one shared latch, which is released before fn runs, so no latch is held
+// during fn. The key and value slices passed to fn belong to the caller:
+// they may be kept and modified after fn returns. fn may mutate the tree,
+// including deleting the record it was handed. Concurrent writers are not
+// blocked for the scan's length, so the scan is not a snapshot: keys come
+// out strictly ascending, and every record present for the whole scan is
+// returned once, while a record inserted or deleted during the scan may or
+// may not appear.
 func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 	return t.inner.Scan(start, end, fn)
 }
@@ -428,7 +438,8 @@ func (t *Tree) NewCursor(start, end []byte) *Cursor {
 	return &Cursor{inner: t.inner.NewCursor(start, end)}
 }
 
-// Next returns the next record, or ok=false at the end of the range.
+// Next returns the next record, or ok=false at the end of the range. The
+// returned slices belong to the caller.
 func (c *Cursor) Next() (key, val []byte, ok bool, err error) { return c.inner.Next() }
 
 // Seek repositions the cursor so the next Next returns the first record

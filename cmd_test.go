@@ -217,8 +217,13 @@ func TestBlinkdEndToEnd(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Wait closes the stderr pipe, so it may only run once the reader has
+	// seen EOF; otherwise the last lines can be lost.
 	waitDone := make(chan error, 1)
-	go func() { waitDone <- cmd.Wait() }()
+	go func() {
+		<-drained
+		waitDone <- cmd.Wait()
+	}()
 	select {
 	case err := <-waitDone:
 		killed = true
@@ -228,7 +233,6 @@ func TestBlinkdEndToEnd(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("blinkd did not exit within 60s of SIGTERM")
 	}
-	<-drained
 	if !strings.Contains(rest.String(), "clean shutdown") {
 		t.Fatalf("stderr missing clean-shutdown banner:\n%s", rest.String())
 	}

@@ -43,9 +43,17 @@ type Codec interface {
 
 // Errors returned by the pool.
 var (
-	// ErrPoolFull means every frame is pinned and nothing can be evicted.
+	// ErrPoolFull means every frame stayed pinned for pinWait, so nothing
+	// could be evicted.
 	ErrPoolFull = errors.New("buffer: all frames pinned")
 )
+
+// pinWait bounds how long a miss waits for some frame to be unpinned when
+// every frame is pinned. Callers pin for one short step, so a pool that is
+// full only because concurrent callers overlap frees a frame well within
+// it; a pool that stays full is smaller than the pins its callers hold at
+// once, and waiting longer would not help.
+const pinWait = 10 * time.Millisecond
 
 type frameState uint8
 
@@ -212,19 +220,32 @@ func (p *Pool) FetchMiss(id page.PageID) (Object, bool, error) {
 
 // Insert registers a freshly allocated page's object in the pool, pinned and
 // dirty. The page must already be allocated in the store.
+//
+// A fetch through a dangling reference can race the page's reuse: it
+// installs a loading frame for the freed id, and its read then fails
+// because the page is free or freshly zeroed by the allocation, which
+// drops the frame. Insert waits such a load out rather than reporting the
+// page resident.
 func (p *Pool) Insert(id page.PageID, obj Object) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.frames[id]; ok {
-		return fmt.Errorf("buffer: Insert of resident page %d", id)
-	}
-	if err := p.makeRoomLocked(); err != nil {
-		return err
-	}
-	// makeRoomLocked can release the mutex mid-eviction; re-check before
-	// installing so a concurrently loaded frame is never overwritten.
-	if _, ok := p.frames[id]; ok {
-		return fmt.Errorf("buffer: Insert of resident page %d", id)
+	for {
+		if f, ok := p.frames[id]; ok {
+			if f.state == stateLoading {
+				p.cond.Wait()
+				continue
+			}
+			return fmt.Errorf("buffer: Insert of resident page %d", id)
+		}
+		// makeRoomLocked can release the mutex mid-eviction; check again
+		// before installing so a concurrently loaded frame is never
+		// overwritten.
+		if err := p.makeRoomLocked(); err != nil {
+			return err
+		}
+		if _, ok := p.frames[id]; !ok {
+			break
+		}
 	}
 	p.frames[id] = &frame{id: id, state: stateReady, obj: obj, pins: 1, dirty: true, ref: true}
 	p.clock = append(p.clock, id)
@@ -301,12 +322,26 @@ func (p *Pool) DiscardIfUnpinned(id page.PageID, release func() error) (bool, er
 }
 
 // makeRoomLocked evicts clean or dirty unpinned frames until there is room
-// for one more. Caller holds p.mu.
+// for one more, waiting up to pinWait for an unpin while every frame is
+// pinned. Caller holds p.mu.
 func (p *Pool) makeRoomLocked() error {
+	var deadline time.Time
 	for len(p.frames) >= p.capacity {
 		victim := p.pickVictimLocked()
 		if victim == nil {
-			return ErrPoolFull
+			if deadline.IsZero() {
+				deadline = time.Now().Add(pinWait)
+				wake := time.AfterFunc(pinWait, func() {
+					p.mu.Lock()
+					p.cond.Broadcast()
+					p.mu.Unlock()
+				})
+				defer wake.Stop()
+			} else if !time.Now().Before(deadline) {
+				return ErrPoolFull
+			}
+			p.cond.Wait()
+			continue
 		}
 		if err := p.evictLocked(victim); err != nil {
 			return err

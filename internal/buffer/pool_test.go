@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"blinktree/internal/page"
 	"blinktree/internal/storage"
@@ -328,6 +329,71 @@ func TestInsertDuplicateFails(t *testing.T) {
 	if err := p.Insert(id, &testObj{}); err == nil {
 		t.Fatal("duplicate Insert succeeded")
 	}
+}
+
+// gatedStore signals reading, then holds every Read until release closes.
+type gatedStore struct {
+	storage.Store
+	reading, release chan struct{}
+}
+
+func (s *gatedStore) Read(id page.PageID) ([]byte, error) {
+	close(s.reading)
+	<-s.release
+	return s.Store.Read(id)
+}
+
+// zeroRejectCodec refuses a zeroed page, as the tree's codec does (bad
+// magic), and otherwise decodes like testCodec.
+type zeroRejectCodec struct{ testCodec }
+
+func (c *zeroRejectCodec) Unmarshal(data []byte) (Object, error) {
+	if data[0] == 0 && data[1] == 0 {
+		return nil, errors.New("zeroed page")
+	}
+	return c.testCodec.Unmarshal(data)
+}
+
+// TestInsertWaitsOutStaleLoad: a fetch through a dangling reference is
+// loading a freed page when the allocator hands the page out again and
+// inserts its new object. Insert must wait for that load to fail rather
+// than report the page resident.
+func TestInsertWaitsOutStaleLoad(t *testing.T) {
+	inner := storage.NewMemStore(128)
+	id, err := inner.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.Deallocate(id); err != nil {
+		t.Fatal(err)
+	}
+	gs := &gatedStore{Store: inner, reading: make(chan struct{}), release: make(chan struct{})}
+	p := NewPool(gs, nil, &zeroRejectCodec{}, 4)
+	fetched := make(chan error, 1)
+	go func() {
+		_, err := p.Fetch(id)
+		fetched <- err
+	}()
+	<-gs.reading
+	if reused, err := inner.Allocate(); err != nil || reused != id {
+		t.Fatalf("Allocate = %d, %v; want the freed page %d", reused, err, id)
+	}
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		close(gs.release)
+	}()
+	if err := p.Insert(id, &testObj{data: 9}); err != nil {
+		t.Fatalf("Insert during a stale load: %v", err)
+	}
+	if err := <-fetched; err == nil {
+		t.Fatal("stale fetch of a reused page succeeded")
+	}
+	obj, err := p.Fetch(id)
+	if err != nil || obj.(*testObj).data != 9 {
+		t.Fatalf("resident object after Insert: %v, %v", obj, err)
+	}
+	p.Unpin(id, false)
+	p.Unpin(id, true)
 }
 
 func TestSnapshotCounts(t *testing.T) {

@@ -338,7 +338,7 @@ func (s *bulkSession) unpinPending() {
 
 // allocTracked allocates a node and records its page for failure cleanup.
 func (s *bulkSession) allocTracked(c page.Content) (*node, error) {
-	n, err := s.t.allocNode(c)
+	n, err := s.t.allocNode(c, latch.None)
 	if err != nil {
 		return nil, err
 	}
@@ -639,7 +639,7 @@ func (s *bulkSession) buildChunk(c *bulkChunk) {
 			cont.High = c.leaves[i+1].low
 			cont.Right = c.ids[i+1]
 		}
-		n, err := t.adoptNode(c.ids[i], cont)
+		n, err := t.adoptNode(c.ids[i], cont, latch.None)
 		if err != nil {
 			fail(nodes, err)
 			return

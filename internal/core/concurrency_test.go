@@ -280,3 +280,124 @@ func TestHotspotContention(t *testing.T) {
 	wg.Wait()
 	mustVerify(t, tr)
 }
+
+// TestScanGuaranteeUnderChurn checks what a scan promises (§3.1.4) while
+// splits, consolidations and evictions run under it: keys come out strictly
+// ascending and inside [start, end), each value names its key, and every
+// key of a stable set that no writer touches is returned. Every key is
+// loaded; the multiples of 4 are the stable set, and writers delete and
+// re-insert only the others, which empties leaves enough to consolidate
+// them. Half the scanners use Scan, half step a cursor with Next.
+func TestScanGuaranteeUnderChurn(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512, CacheSize: 48, MinFill: 0.4, Workers: 2})
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var writers, scanners sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 3000; i++ {
+				k := 4*rng.Intn(n/4) + 1 + rng.Intn(3)
+				var err error
+				if rng.Intn(2) == 0 {
+					err = tr.Put(key(k), valb(k))
+				} else if err = tr.Delete(key(k)); errors.Is(err, ErrKeyNotFound) {
+					err = nil
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		scanners.Add(1)
+		go func(g int) {
+			defer scanners.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := rng.Intn(n)
+				hi := lo + 1 + rng.Intn(n-lo)
+				if err := checkScanRange(tr, lo, hi, g == 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	scanners.Wait()
+	s := tr.Stats()
+	if s.Splits == 0 || s.LeafConsolidated == 0 || tr.PoolStats().Evictions == 0 {
+		t.Fatalf("churn too light: %d splits, %d consolidations, %d evictions",
+			s.Splits, s.LeafConsolidated, tr.PoolStats().Evictions)
+	}
+	mustVerify(t, tr)
+}
+
+// checkScanRange scans key(lo)..key(hi) and checks it against the stable
+// set of multiples of 4, through Scan or, with cursor set, through Next.
+func checkScanRange(tr *Tree, lo, hi int, cursor bool) error {
+	start, end := key(lo), key(hi)
+	want := (lo + 3) / 4 * 4 // next stable key not yet returned
+	var prev []byte
+	visit := func(k, v []byte) error {
+		var i int
+		if _, err := fmt.Sscanf(string(k), "key-%06d", &i); err != nil {
+			return fmt.Errorf("scan [%s, %s): unexpected key %q", start, end, k)
+		}
+		switch {
+		case bytes.Compare(k, start) < 0 || bytes.Compare(k, end) >= 0:
+			return fmt.Errorf("scan [%s, %s) returned %s outside its range", start, end, k)
+		case prev != nil && bytes.Compare(k, prev) <= 0:
+			return fmt.Errorf("scan [%s, %s) returned %s after %s", start, end, k, prev)
+		case !bytes.Equal(v, valb(i)):
+			return fmt.Errorf("scan [%s, %s): %s holds %q", start, end, k, v)
+		case i%4 == 0 && i != want:
+			return fmt.Errorf("scan [%s, %s) skipped stable key %s (next was %s)", start, end, key(want), k)
+		}
+		if i%4 == 0 {
+			want += 4
+		}
+		prev = k
+		return nil
+	}
+	var err error
+	if cursor {
+		cur := tr.NewCursor(start, end)
+		for err == nil {
+			k, v, ok, nerr := cur.Next()
+			if nerr != nil || !ok {
+				err = nerr
+				break
+			}
+			err = visit(k, v)
+		}
+	} else {
+		serr := tr.Scan(start, end, func(k, v []byte) bool {
+			err = visit(k, v)
+			return err == nil
+		})
+		if err == nil {
+			err = serr
+		}
+	}
+	if err == nil && want < hi {
+		err = fmt.Errorf("scan [%s, %s) ended before stable key %s", start, end, key(want))
+	}
+	return err
+}

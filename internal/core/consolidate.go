@@ -29,6 +29,9 @@ func (t *Tree) processDelete(a action) {
 			return
 		}
 	}
+	if t.deleteDryRun(&a) {
+		return
+	}
 	p, err := t.accessParent(&a, true)
 	if err != nil {
 		switch err {
@@ -40,58 +43,17 @@ func (t *Tree) processDelete(a action) {
 		return
 	}
 	// p is exclusively latched and covers a.sep (the victim's immutable
-	// low key). Locate the victim's index term.
-	found, i := p.searchIndexKey(t.cmp, a.sep)
-	if !found || p.c.Children[i] != a.origID {
-		// The term was never posted, or the victim is already gone.
+	// low key).
+	i, left, victim := t.mergePair(p, &a, latch.Exclusive)
+	if left == nil {
 		t.c.deleteAbortEdge.Add(1)
 		t.traceSMO(obs.EvAbortEdge, &a)
-		t.unlatchUnpin(p, latch.Exclusive, true)
-		return
-	}
-	if i == 0 {
-		// Leftmost child of this parent: no left sibling under the same
-		// parent — abort (A.5 step 2). Consolidating the parent later can
-		// unblock this node.
-		t.c.deleteAbortEdge.Add(1)
-		t.traceSMO(obs.EvAbortEdge, &a)
-		t.unlatchUnpin(p, latch.Exclusive, true)
-		return
-	}
-
-	left, err := t.pinLatch(p.c.Children[i-1], latch.Exclusive)
-	if err != nil || left.dead {
-		if err == nil {
-			t.unlatchUnpin(left, latch.Exclusive, false)
-		}
-		t.c.deleteAbortEdge.Add(1)
-		t.traceSMO(obs.EvAbortEdge, &a)
-		t.unlatchUnpin(p, latch.Exclusive, true)
-		return
-	}
-	// Reach the victim by side traversal from its left sibling (A.5 step
-	// 3); a mismatch means splits intervened.
-	if left.c.Right != a.origID {
-		t.c.deleteAbortEdge.Add(1)
-		t.traceSMO(obs.EvAbortEdge, &a)
-		t.unlatchUnpin(left, latch.Exclusive, false)
-		t.unlatchUnpin(p, latch.Exclusive, true)
-		return
-	}
-	victim, err := t.pinLatch(a.origID, latch.Exclusive)
-	if err != nil || victim.dead || victim.c.Epoch != a.origEpoch {
-		if err == nil {
-			t.unlatchUnpin(victim, latch.Exclusive, false)
-		}
-		t.c.deleteAbortEdge.Add(1)
-		t.traceSMO(obs.EvAbortEdge, &a)
-		t.unlatchUnpin(left, latch.Exclusive, false)
 		t.unlatchUnpin(p, latch.Exclusive, true)
 		return
 	}
 
 	// Step 4: still worth consolidating, and does it fit?
-	if !t.underutilized(victim) || t.mergedSize(left, victim) > t.opts.PageSize {
+	if t.mergeSkips(left, victim) {
 		t.c.deleteSkipFit.Add(1)
 		t.traceSMO(obs.EvSkipFit, &a)
 		t.unlatchUnpin(victim, latch.Exclusive, false)
@@ -167,6 +129,124 @@ func (t *Tree) processDelete(a action) {
 	} else {
 		t.reclaim(victim.id)
 	}
+}
+
+// deleteDryRun rehearses A.5 steps 2–4 under Shared latches, taken in the
+// authoritative order (D_X, parent, left sibling, victim), before
+// accessParent changes any delete state. It returns true, having counted
+// the outcome, when the action would certainly end as a leftmost-child
+// abort or a skip-fit: the action is then dropped without bumping D_X or
+// D_D, dirtying the parent or moving any latch version, so rediscovering
+// an under-full node that cannot merge aborts no transaction and restarts
+// no optimistic read. Anything it cannot decide (delete state moved, a dead
+// node, another incarnation, a missing index term) returns false and the
+// authoritative path decides and counts it.
+func (t *Tree) deleteDryRun(a *action) bool {
+	checkState := !t.opts.NoDeleteSupport
+	if checkState {
+		t.dx.l.Acquire(latch.Shared)
+		if t.dx.v.Load() != a.dx {
+			t.dx.l.Release(latch.Shared)
+			return false
+		}
+	}
+	p, err := t.fetch(a.parent.id)
+	if err == nil {
+		p.latch.Acquire(latch.Shared)
+	}
+	if checkState {
+		t.dx.l.Release(latch.Shared)
+	}
+	if err != nil {
+		return false
+	}
+	if p.dead || p.c.Epoch != a.parent.epoch || p.c.Level != a.level+1 {
+		t.unlatchUnpin(p, latch.Shared, false)
+		return false
+	}
+	for p.pastHigh(t.cmp, a.sep) {
+		sib := p.c.Right
+		if sib == 0 {
+			t.unlatchUnpin(p, latch.Shared, false)
+			return false
+		}
+		q, err := t.pinLatch(sib, latch.Shared)
+		t.unlatchUnpin(p, latch.Shared, false)
+		if err != nil {
+			return false
+		}
+		if q.dead {
+			t.unlatchUnpin(q, latch.Shared, false)
+			return false
+		}
+		p = q
+	}
+	i, left, victim := t.mergePair(p, a, latch.Shared)
+	if left == nil {
+		t.unlatchUnpin(p, latch.Shared, false)
+		if i != 0 {
+			return false
+		}
+		t.c.deleteAbortEdge.Add(1)
+		t.traceSMO(obs.EvAbortEdge, a)
+		return true
+	}
+	skip := t.mergeSkips(left, victim)
+	t.unlatchUnpin(victim, latch.Shared, false)
+	t.unlatchUnpin(left, latch.Shared, false)
+	t.unlatchUnpin(p, latch.Shared, false)
+	if skip {
+		t.c.deleteSkipFit.Add(1)
+		t.traceSMO(obs.EvSkipFit, a)
+	}
+	return skip
+}
+
+// mergePair runs A.5 steps 2–3 under the latched parent p, which covers
+// a.sep: it finds the victim's index term, then latches the left sibling
+// and, through its side pointer, the victim, both in mode m. On success it
+// returns the term's index with both nodes latched. Otherwise left is nil,
+// nothing but p is held, and i is 0 when the victim is p's leftmost child
+// (no left sibling under the same parent, A.5 step 2) or -1 when the term
+// is missing, the left sibling is dead, or splits or an older incarnation
+// broke the side pointer.
+func (t *Tree) mergePair(p *node, a *action, m latch.Mode) (i int, left, victim *node) {
+	found, i := p.searchIndexKey(t.cmp, a.sep)
+	if !found || p.c.Children[i] != a.origID {
+		// The term was never posted, or the victim is already gone.
+		return -1, nil, nil
+	}
+	if i == 0 {
+		// Consolidating the parent later can unblock this node.
+		return 0, nil, nil
+	}
+	left, err := t.pinLatch(p.c.Children[i-1], m)
+	if err != nil {
+		return -1, nil, nil
+	}
+	// The victim is reached through the left sibling's side pointer (A.5
+	// step 3); a mismatch means splits intervened.
+	if left.dead || left.c.Right != a.origID {
+		t.unlatchUnpin(left, m, false)
+		return -1, nil, nil
+	}
+	victim, err = t.pinLatch(a.origID, m)
+	if err != nil {
+		t.unlatchUnpin(left, m, false)
+		return -1, nil, nil
+	}
+	if victim.dead || victim.c.Epoch != a.origEpoch {
+		t.unlatchUnpin(victim, m, false)
+		t.unlatchUnpin(left, m, false)
+		return -1, nil, nil
+	}
+	return i, left, victim
+}
+
+// mergeSkips is A.5 step 4: the victim is no longer under-utilized, or it
+// does not fit into its left sibling.
+func (t *Tree) mergeSkips(left, victim *node) bool {
+	return !t.underutilized(victim) || t.mergedSize(left, victim) > t.opts.PageSize
 }
 
 // logDrainMark writes the drain comparator's mark-empty update for the

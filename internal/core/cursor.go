@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"blinktree/internal/latch"
 	"blinktree/internal/obs"
 )
@@ -11,11 +13,16 @@ import (
 // the re-latch procedure to resume; if delete state shows the remembered
 // nodes may be gone, it falls back to a fresh traversal — the cursor never
 // aborts, it just pays a re-traverse.
+//
+// Every fetch goes through fill, which copies the next records of one leaf
+// under a single Shared latch. Next asks for one record, Scan for the rest
+// of the leaf, so a scan re-latches once per leaf rather than per record.
 type Cursor struct {
 	t *Tree
 
-	// lastKey is the largest key already returned; nil before the first
-	// Next. The cursor is positioned strictly after it.
+	// lastKey is the cursor's own copy of the largest key already returned
+	// (the start key before the first return). The cursor is positioned
+	// strictly after it once started, at or after it before.
 	lastKey []byte
 	end     []byte // exclusive upper bound; nil = +inf
 	started bool
@@ -24,77 +31,106 @@ type Cursor struct {
 	path []pathEntry
 	dx   uint64
 
+	// recs is the batch the last fill produced. The headers are reused;
+	// the bytes they point at are a fresh arena per fill that the caller
+	// keeps.
+	recs []record
+
 	// sp is the owning scan's span (nil when unsampled): one span covers
 	// the whole scan, accumulating positioning and side-step stages across
-	// Next calls.
+	// fills.
 	sp *obs.Span
 }
+
+// record is one key/value pair of a cursor batch.
+type record struct{ key, val []byte }
 
 // NewCursor returns a cursor over [start, end); end nil means +inf, start
 // nil or empty means the smallest key.
 func (t *Tree) NewCursor(start, end []byte) *Cursor {
 	c := &Cursor{t: t, end: end}
 	if len(start) > 0 {
-		// Position strictly-after the key just below start: implemented by
-		// treating start as "lastKey already returned" minus one step —
-		// the fetch uses >= for the first positioning.
 		c.lastKey = append([]byte(nil), start...)
 	}
 	return c
 }
 
 // Next returns the next record in order, or ok=false at the end of the
-// range. Key and value are copies.
+// range. Key and value belong to the caller.
 func (c *Cursor) Next() (key, val []byte, ok bool, err error) {
-	if c.done {
-		return nil, nil, false, nil
-	}
-	if err := c.t.opBegin(); err != nil {
+	if err := c.fill(1); err != nil {
 		return nil, nil, false, err
 	}
-	defer c.t.opEnd()
+	if len(c.recs) == 0 {
+		return nil, nil, false, nil
+	}
 	c.t.c.scans.Add(1)
+	r := c.recs[0]
+	return r.key, r.val, true, nil
+}
 
-	seek := c.lastKey
-	if seek == nil {
-		seek = []byte{} // smallest
+// fill replaces c.recs with up to limit records that follow the cursor's
+// progress, all from one leaf: the first leaf, reached through the
+// remembered path and then side pointers, that holds such a record. They
+// are copied under that leaf's one Shared latch into a single arena
+// allocated for this call, and the latch is released before fill returns.
+// An empty batch means the range is exhausted.
+func (c *Cursor) fill(limit int) error {
+	c.recs = c.recs[:0]
+	if c.done {
+		return nil
 	}
-	leaf, rerr := c.position(seek)
-	if rerr != nil {
-		return nil, nil, false, rerr
+	if err := c.t.opBegin(); err != nil {
+		return err
 	}
-	// Find the first key matching the cursor's progress: strictly greater
-	// than lastKey once started (or >= start before the first return).
+	defer c.t.opEnd()
+
+	from := c.lastKey
+	if from == nil {
+		from = []byte{} // smallest
+	}
+	leaf, err := c.position(from)
+	if err != nil {
+		return err
+	}
+	cmp := c.t.cmp
+	seek := from // nil once a side step moved past every key seen
 	for {
-		idx := 0
+		keys, vals := leaf.c.Keys, leaf.c.Vals
+		lo := 0
 		if len(seek) > 0 {
-			i, found := leaf.searchLeaf(c.t.cmp, seek)
-			idx = i
+			i, found := leaf.searchLeaf(cmp, seek)
+			lo = i
 			if found && c.started {
-				idx = i + 1 // strictly after the already-returned key
+				lo = i + 1 // strictly after the already-returned key
 			}
 		}
-		if idx < len(leaf.c.Keys) {
-			k := leaf.c.Keys[idx]
-			if c.end != nil && c.t.cmp(k, c.end) >= 0 {
-				c.t.unlatchUnpin(leaf, latch.Shared, false)
-				c.done = true
-				return nil, nil, false, nil
+		hi := len(keys)
+		if hi-lo > limit {
+			hi = lo + limit
+		}
+		atEnd := false
+		if c.end != nil {
+			if j := lo + lowerBound(cmp, keys[lo:hi], c.end); j < hi {
+				hi, atEnd = j, true
 			}
-			key = append([]byte(nil), k...)
-			val = append([]byte(nil), leaf.c.Vals[idx]...)
-			c.lastKey = key
+		}
+		if lo < hi {
+			c.copyOut(keys[lo:hi], vals[lo:hi])
+			c.lastKey = append(c.lastKey[:0], keys[hi-1]...)
 			c.started = true
 			c.dx = c.t.dx.v.Load()
+			c.done = atEnd
 			c.t.unlatchUnpin(leaf, latch.Shared, false)
-			return key, val, true, nil
+			return nil
 		}
-		// Exhausted this leaf: follow the side pointer (latch coupled).
+		// Nothing left here: stop at the range end or the last leaf,
+		// otherwise follow the side pointer (latch coupled).
 		sib := leaf.c.Right
-		if sib == 0 {
+		if atEnd || sib == 0 || (c.end != nil && leaf.c.High != nil && cmp(leaf.c.High, c.end) >= 0) {
 			c.t.unlatchUnpin(leaf, latch.Shared, false)
 			c.done = true
-			return nil, nil, false, nil
+			return nil
 		}
 		q, perr := c.t.pinLatchSpan(sib, latch.Shared, c.sp)
 		c.t.unlatchUnpin(leaf, latch.Shared, false)
@@ -102,16 +138,36 @@ func (c *Cursor) Next() (key, val []byte, ok bool, err error) {
 			if perr == nil {
 				c.t.unlatchUnpin(q, latch.Shared, false)
 			}
-			// Rare: restart positioning from the remembered key.
-			leaf, rerr = c.freshTraverse(seek)
-			if rerr != nil {
-				return nil, nil, false, rerr
+			// Rare: restart positioning from the cursor's progress.
+			if leaf, err = c.freshTraverse(from); err != nil {
+				return err
 			}
+			seek = from
 			continue
 		}
 		leaf = q
-		// Keys in the sibling are all > anything seen: take its first.
-		seek = []byte{}
+		seek = nil // every key in the sibling is above anything seen
+	}
+}
+
+// copyOut appends keys[i]/vals[i] to c.recs, copied into one new arena.
+// Each sub-slice is capacity-clipped so a caller appending to one record
+// cannot overwrite the next.
+func (c *Cursor) copyOut(keys, vals [][]byte) {
+	size := 0
+	for i := range keys {
+		size += len(keys[i]) + len(vals[i])
+	}
+	if cap(c.recs) < len(keys) {
+		c.recs = make([]record, 0, len(keys))
+	}
+	arena := make([]byte, size)
+	off := 0
+	for i := range keys {
+		kEnd := off + copy(arena[off:], keys[i])
+		vEnd := kEnd + copy(arena[kEnd:], vals[i])
+		c.recs = append(c.recs, record{key: arena[off:kEnd:kEnd], val: arena[kEnd:vEnd:vEnd]})
+		off = vEnd
 	}
 }
 
@@ -153,23 +209,27 @@ func (c *Cursor) Seek(target []byte) {
 }
 
 // Scan calls fn for each record in [start, end) in key order; fn returning
-// false stops the scan. No latches are held across fn calls.
+// false stops the scan. Records are fetched a leaf at a time and delivered
+// with no latch held, so fn may keep the slices and may mutate the tree.
 func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 	t0, sp := t.obsBegin(obs.OpScan)
 	defer t.obsEnd(obs.OpScan, t0, sp)
 	cur := t.NewCursor(start, end)
 	cur.sp = sp
 	for {
-		k, v, ok, err := cur.Next()
-		if err != nil {
+		if err := cur.fill(math.MaxInt); err != nil {
 			return err
 		}
-		if !ok {
+		if len(cur.recs) == 0 {
 			return nil
 		}
-		if !fn(k, v) {
-			return nil
+		for i, r := range cur.recs {
+			if !fn(r.key, r.val) {
+				t.c.scans.Add(uint64(i + 1))
+				return nil
+			}
 		}
+		t.c.scans.Add(uint64(len(cur.recs)))
 	}
 }
 

@@ -180,7 +180,9 @@ func (t *Tree) putOnLeaf(leaf *node, path []pathEntry, dx uint64, lp recOpParams
 			t.unlatchUnpin(leaf, latch.Exclusive, true)
 			return 0, false, err
 		}
-		if leaf.pastHigh(t.cmp, key) {
+		// The new half was unlatched, and reachable through stale
+		// references, before it is latched here: it may have split again.
+		for leaf.pastHigh(t.cmp, key) {
 			right, err := t.pinLatchSpan(leaf.c.Right, latch.Exclusive, lp.sp)
 			t.unlatchUnpin(leaf, latch.Exclusive, true)
 			if err != nil {

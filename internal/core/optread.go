@@ -89,7 +89,7 @@ func (t *Tree) traverseOpt(o traverseOpts) (*node, []pathEntry, bool) {
 	if err != nil {
 		return nil, nil, false // root shrunk away; retry from new anchor
 	}
-	var path []pathEntry
+	path := make([]pathEntry, 0, rootLevel) // one entry per index level
 	level := rootLevel
 	for level > 0 {
 		r, v, ok := n.routeView()

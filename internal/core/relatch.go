@@ -13,7 +13,8 @@ import (
 // one latch-coupled step reaches the leaf (plus rightward moves for any
 // splits). If D_X has changed, relatch fails with errDeleteState and the
 // caller aborts (transactions) or falls back to a fresh traversal
-// (cursors). The returned path has the parent entry refreshed.
+// (cursors). On success the parent entry of path is refreshed in place
+// and path is returned.
 func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent latch.Mode, promote bool) (*node, []pathEntry, error) {
 	t.c.relatches.Add(1)
 	if t.opts.NoDeleteSupport || len(path) == 0 {
@@ -59,11 +60,11 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 		return nil, nil, errDeleteState
 	}
 	child := p.c.Children[ci]
-	newPath := append(append([]pathEntry(nil), path[:len(path)-1]...), pathEntry{
+	path[len(path)-1] = pathEntry{
 		ref:   ref{id: p.id, epoch: p.c.Epoch},
 		level: p.c.Level,
 		dd:    p.c.DD,
-	})
+	}
 	leaf, err := t.pinLatch(child, intent)
 	t.unlatchUnpin(p, latch.Shared, false)
 	if err != nil || leaf.dead {
@@ -89,5 +90,5 @@ func (t *Tree) relatch(path []pathEntry, key []byte, rememberedDX uint64, intent
 	if promote && intent == latch.Update {
 		leaf.latch.Promote()
 	}
-	return leaf, newPath, nil
+	return leaf, path, nil
 }

@@ -186,7 +186,6 @@ func (c *ReverseCursor) Next() (key, val []byte, ok bool, err error) {
 		return nil, nil, false, err
 	}
 	defer c.t.opEnd()
-	c.t.c.scans.Add(1)
 	k, v, ok, err := c.t.predecessor(c.bound)
 	if err != nil {
 		return nil, nil, false, err
@@ -195,6 +194,7 @@ func (c *ReverseCursor) Next() (key, val []byte, ok bool, err error) {
 		c.done = true
 		return nil, nil, false, nil
 	}
+	c.t.c.scans.Add(1)
 	c.bound = k
 	c.started = true
 	return k, v, true, nil

@@ -184,9 +184,9 @@ func (t *Tree) accessParent(a *action, forDelete bool) (*node, error) {
 		} else if a.level == 0 {
 			// Data node: its deletion would have bumped this parent's
 			// D_D (or a value copied forward through parent splits).
-			if p.c.DD != a.dd {
+			if dd := p.c.DD; dd != a.dd {
 				t.unlatchUnpin(p, latch.Update, false)
-				t.traceAbort(obs.EvAbortDD, a, a.dd, p.c.DD)
+				t.traceAbort(obs.EvAbortDD, a, a.dd, dd)
 				return nil, errDDChanged
 			}
 		} else {
@@ -361,7 +361,9 @@ func (t *Tree) growLocked(a action) {
 		Keys:     [][]byte{{}, append([]byte(nil), a.sep...)},
 		Children: []page.PageID{a.origID, a.newID},
 	}
-	root, err := t.allocNode(newRootC)
+	// Latched until its image is logged and its route published: a stale
+	// reference to a reused page ID can reach it before the anchor does.
+	root, err := t.allocNode(newRootC, latch.Exclusive)
 	if err != nil {
 		return // allocation failure: the tree stays correct, grow retries
 	}
@@ -385,13 +387,13 @@ func (t *Tree) growLocked(a action) {
 			panic(fmt.Sprintf("blinktree: logging grow: %v", err))
 		}
 	}
-	// The new root is still private (nothing points at it); publish its
-	// routing snapshot before the anchor makes it reachable.
-	root.publishRoute()
+	// Readers reach the new root through the anchor only once the caller
+	// releases the anchor mutex, after the release below has published
+	// the routing snapshot.
 	t.anchor.root = root.id
 	t.anchor.level = root.c.Level
 	t.c.grows.Add(1)
 	t.c.postsDone.Add(1)
-	t.pool.Unpin(root.id, true)
+	t.unlatchUnpin(root, latch.Exclusive, true)
 	t.traceSMO(obs.EvCompleted, &a)
 }

@@ -135,6 +135,93 @@ func TestDeleteActionStaleVictim(t *testing.T) {
 	mustVerify(t, tr)
 }
 
+// TestDeleteSkipFitLeavesDeleteStateAlone: a delete action whose victim
+// is not worth consolidating, or would not fit, is dropped by the Shared
+// dry run without touching D_X, D_D, the parent's LSN or the parent's latch
+// version, so it aborts no transaction and restarts no optimistic read.
+func TestDeleteSkipFitLeavesDeleteStateAlone(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4})
+	for i := 0; i < 3000; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustVerify(t, tr)
+	if tr.Height() < 2 {
+		t.Fatalf("height %d: need an index level below the root", tr.Height())
+	}
+	for _, level := range []uint8{0, 1} {
+		a, parent := skipFitAction(t, tr, level)
+		before := tr.Stats()
+		p, err := tr.fetch(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd, lsn := p.c.DD, p.c.LSN
+		v, ok := p.latch.OptVersion()
+		if !ok {
+			t.Fatal("parent exclusively latched at rest")
+		}
+		tr.processDelete(a)
+		after := tr.Stats()
+		if after.DeleteSkipFit != before.DeleteSkipFit+1 {
+			t.Fatalf("level %d: DeleteSkipFit %d -> %d, want +1", level, before.DeleteSkipFit, after.DeleteSkipFit)
+		}
+		if after.DXIncrements != before.DXIncrements || after.DDIncrements != before.DDIncrements {
+			t.Fatalf("level %d: skip-fit changed delete state: D_X +%d, D_D +%d", level,
+				after.DXIncrements-before.DXIncrements, after.DDIncrements-before.DDIncrements)
+		}
+		if p.c.DD != dd || p.c.LSN != lsn || !p.latch.Validate(v) {
+			t.Fatalf("level %d: skip-fit touched the parent (D_D %d -> %d, LSN %d -> %d, latch version moved: %v)",
+				level, dd, p.c.DD, lsn, p.c.LSN, !p.latch.Validate(v))
+		}
+		tr.unpin(p)
+	}
+	mustVerify(t, tr)
+}
+
+// skipFitAction returns a delete action for a level-lvl node that has a
+// left sibling under the same parent and would be skipped at A.5 step 4,
+// and that parent's page.
+func skipFitAction(t *testing.T, tr *Tree, lvl uint8) (action, page.PageID) {
+	t.Helper()
+	parents, err := tr.LevelNodes(lvl + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range parents {
+		pi, err := tr.NodeSnapshot(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(pi.Children); i++ {
+			left, err := tr.fetch(pi.Children[i-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim, err := tr.fetch(pi.Children[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			skips := tr.mergeSkips(left, victim)
+			a := action{
+				kind: actDelete, level: lvl,
+				origID: victim.id, origEpoch: victim.c.Epoch,
+				sep:    append([]byte(nil), victim.c.Low...),
+				parent: ref{id: pi.ID, epoch: pi.Epoch},
+				dx:     tr.DX(),
+			}
+			tr.unpin(victim)
+			tr.unpin(left)
+			if skips {
+				return a, pi.ID
+			}
+		}
+	}
+	t.Fatalf("no level-%d node would be skipped", lvl)
+	return action{}, 0
+}
+
 // parentSnapshotOf finds the level-1 node holding the index term for leaf.
 func parentSnapshotOf(t *testing.T, tr *Tree, leaf page.PageID) NodeInfo {
 	t.Helper()

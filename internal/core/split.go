@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"blinktree/internal/latch"
 	"blinktree/internal/page"
 	"blinktree/internal/wal"
 )
@@ -56,7 +57,10 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 		newC.Children = append([]page.PageID(nil), n.c.Children[mid:]...)
 	}
 
-	right, err := t.allocNode(newC)
+	// The new half is latched from birth until its split is logged: its
+	// page may be reused, so a stale reference can find it in the pool
+	// before n's side pointer makes it reachable.
+	right, err := t.allocNode(newC, latch.Exclusive)
 	if err != nil {
 		return err
 	}
@@ -73,12 +77,9 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 	n.c.Right = right.id
 
 	if err := t.logSplit(n, right); err != nil {
+		t.unlatchUnpin(right, latch.Exclusive, true)
 		return err
 	}
-	// The new half becomes reachable (via n's side pointer) once the
-	// caller's exclusive latch on n is released; its routing snapshot must
-	// be in place by then. n's own snapshot is republished at that release.
-	right.publishRoute()
 	t.c.splits.Add(1)
 
 	a := action{
@@ -91,7 +92,9 @@ func (t *Tree) splitLocked(n *node, parent ref, dd uint64, dx uint64) error {
 		dx:     dx,
 		dd:     dd,
 	}
-	t.pool.Unpin(right.id, true)
+	// Releasing the new half publishes its routing snapshot, before the
+	// caller's release of n makes it reachable through the side pointer.
+	t.unlatchUnpin(right, latch.Exclusive, true)
 	t.c.postsEnqueued.Add(1)
 	t.todo.enqueue(a)
 	return nil

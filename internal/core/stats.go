@@ -13,7 +13,10 @@ type Stats struct {
 	Inserts  uint64
 	Updates  uint64
 	Deletes  uint64
-	Scans    uint64
+	// Scans counts records returned by scans and cursors, in either
+	// direction: a Scan that delivers 100 records adds 100, and a cursor's
+	// final empty fetch adds nothing.
+	Scans uint64
 
 	// Traversal behaviour.
 	SideTraversals    uint64 // rightward moves during traversal

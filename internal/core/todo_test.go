@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"blinktree/internal/latch"
 	"blinktree/internal/obs"
 	"blinktree/internal/page"
 )
@@ -328,7 +329,7 @@ func TestDrainBailoutOnPerpetualRequeue(t *testing.T) {
 	tr := newTestTree(t, Options{})
 	// A page pinned by a "concurrent reader" makes every reclaim attempt
 	// requeue; drain must bail out (counted) instead of spinning forever.
-	n, err := tr.allocNode(page.Content{Kind: page.Leaf, Low: []byte{}})
+	n, err := tr.allocNode(page.Content{Kind: page.Leaf, Low: []byte{}}, latch.None)
 	if err != nil {
 		t.Fatal(err)
 	} // n stays pinned

@@ -251,7 +251,7 @@ func (t *Tree) format() error {
 		Keys:  [][]byte{},
 		Vals:  [][]byte{},
 	}
-	root, err := t.allocNode(rootC)
+	root, err := t.allocNode(rootC, latch.None)
 	if err != nil {
 		return err
 	}
@@ -331,14 +331,15 @@ func (t *Tree) unlatchUnpin(n *node, m latch.Mode, dirty bool) {
 }
 
 // allocNode allocates a store page and registers a node for it, returned
-// pinned. In non-logged mode the epoch is assigned here; in logged mode the
-// caller's SMO stamps it with the SMO record's LSN.
-func (t *Tree) allocNode(c page.Content) (*node, error) {
+// pinned and latched in mode m (latch.None for no latch). In non-logged
+// mode the epoch is assigned here; in logged mode the caller's SMO stamps
+// it with the SMO record's LSN.
+func (t *Tree) allocNode(c page.Content, m latch.Mode) (*node, error) {
 	id, err := t.store.Allocate()
 	if err != nil {
 		return nil, err
 	}
-	n, err := t.adoptNode(id, c)
+	n, err := t.adoptNode(id, c, m)
 	if err != nil {
 		derr := t.store.Deallocate(id)
 		if derr != nil {
@@ -350,15 +351,22 @@ func (t *Tree) allocNode(c page.Content) (*node, error) {
 }
 
 // adoptNode registers a node for an already-allocated page ID, returned
-// pinned. Bulk load leases page-ID batches from the allocator up front and
-// adopts them here, so builder goroutines never touch the allocator lock.
-func (t *Tree) adoptNode(id page.PageID, c page.Content) (*node, error) {
+// pinned and latched in mode m. Bulk load leases page-ID batches from the
+// allocator up front and adopts them here, so builder goroutines never
+// touch the allocator lock.
+//
+// The latch is taken before the pool publishes the node: a page ID can be
+// reached through a stale reference (an optimistic route, the right-edge
+// hint) as soon as it is resident, so a node that is not finished yet must
+// already be latched by then.
+func (t *Tree) adoptNode(id page.PageID, c page.Content, m latch.Mode) (*node, error) {
 	if t.log == nil {
 		c.Epoch = t.epochGen.Add(1)
 	}
 	c.Compress = t.bytewise
 	n := newNode(id, c)
 	n.latch.SetRecorder(&t.latchRec)
+	n.latch.Acquire(m)
 	if err := t.pool.Insert(id, n); err != nil {
 		return nil, err
 	}

@@ -328,6 +328,157 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestScanSlicesOwnedByCaller: slices handed to a Scan callback, and those
+// Min and Records return, stay the caller's after later leaves are read,
+// the records are overwritten and other scans run. Appending to a kept key
+// must not write into its value.
+func TestScanSlicesOwnedByCaller(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512})
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if leaves, _ := tr.LevelNodes(0); len(leaves) < 3 {
+		t.Fatalf("%d leaves: the scan must cross several", len(leaves))
+	}
+	var keys, vals [][]byte
+	err := tr.Scan(nil, nil, func(k, v []byte) bool {
+		keys = append(keys, k)
+		vals = append(vals, v)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		grown := append(keys[i], '!')
+		keys[i] = grown[:len(grown)-1]
+	}
+	minK, minV, err := tr.Min()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := tr.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), []byte("overwritten")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Scan(nil, nil, func(_, _ []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != n {
+		t.Fatalf("scan returned %d records, want %d", len(keys), n)
+	}
+	for i := range keys {
+		if !bytes.Equal(keys[i], key(i)) || !bytes.Equal(vals[i], valb(i)) {
+			t.Fatalf("kept record %d changed to %q=%q", i, keys[i], vals[i])
+		}
+	}
+	if !bytes.Equal(minK, key(0)) || !bytes.Equal(minV, valb(0)) {
+		t.Fatalf("Min result changed to %q=%q", minK, minV)
+	}
+	for i := 0; i < n; i++ {
+		if v := recs[string(key(i))]; !bytes.Equal(v, valb(i)) {
+			t.Fatalf("Records value for %s changed to %q", key(i), v)
+		}
+	}
+}
+
+// TestScanDeleteInCallback: a callback may delete the record it was handed
+// (a retention purge), consolidations included; the scan still visits each
+// record of the range once, in order.
+func TestScanDeleteInCallback(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512, MinFill: 0.4})
+	const n = 600
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := 0
+	err := tr.Scan(key(100), key(500), func(k, v []byte) bool {
+		if !bytes.Equal(k, key(100+seen)) || !bytes.Equal(v, valb(100+seen)) {
+			t.Fatalf("record %d: got %q=%q", seen, k, v)
+		}
+		if err := tr.Delete(k); err != nil {
+			t.Fatalf("delete %q inside the callback: %v", k, err)
+		}
+		tr.DrainTodo()
+		seen++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != 400 {
+		t.Fatalf("scan visited %d records, want 400", seen)
+	}
+	if s := tr.Stats(); s.LeafConsolidated == 0 {
+		t.Fatal("no leaf consolidated under the scan")
+	}
+	if got, err := tr.Count(nil, nil); err != nil || got != n-400 {
+		t.Fatalf("Count after purge = %d, %v; want %d", got, err, n-400)
+	}
+	mustVerify(t, tr)
+}
+
+// TestScansCountsRecords: Stats.Scans counts records returned, whatever
+// the number of leaves or cursor calls it took.
+func TestScansCountsRecords(t *testing.T) {
+	tr := newTestTree(t, Options{PageSize: 512})
+	for i := 0; i < 500; i++ {
+		if err := tr.Put(key(i), valb(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids, err := tr.LevelNodes(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanned := 0
+	for _, id := range ids {
+		info, err := tr.NodeSnapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info.Keys) > 0 && bytes.Compare(info.Keys[len(info.Keys)-1], key(100)) >= 0 &&
+			bytes.Compare(info.Keys[0], key(200)) < 0 {
+			spanned++
+		}
+	}
+	if spanned < 3 {
+		t.Fatalf("range spans %d leaves, want at least 3", spanned)
+	}
+	before := tr.Stats().Scans
+	n := 0
+	if err := tr.Scan(key(100), key(200), func(_, _ []byte) bool { n++; return true }); err != nil || n != 100 {
+		t.Fatalf("scan returned %d records, %v", n, err)
+	}
+	if got := tr.Stats().Scans - before; got != 100 {
+		t.Fatalf("100-record Scan added %d to Scans", got)
+	}
+	before = tr.Stats().Scans
+	cur := tr.NewCursor(key(490), nil)
+	for {
+		_, _, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if got := tr.Stats().Scans - before; got != 10 {
+		t.Fatalf("cursor over 10 records added %d to Scans", got)
+	}
+}
+
 func TestScanEmptyTree(t *testing.T) {
 	tr := newTestTree(t, Options{})
 	n, err := tr.Count(nil, nil)

@@ -50,10 +50,18 @@ func (c *conn) serve() {
 
 	for {
 		if c.srv.draining() {
-			break
-		}
-		if c.srv.cfg.IdleTimeout > 0 {
+			// Commands already received still run (PROTOCOL.md): keep
+			// dispatching while buffered input remains. The read deadline
+			// stays as Shutdown set it, so a partial frame ends the loop.
+			if c.br.Buffered() == 0 {
+				break
+			}
+		} else if c.srv.cfg.IdleTimeout > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
+			if c.srv.draining() {
+				// Shutdown's kick may have landed before the line above.
+				c.nc.SetReadDeadline(time.Now())
+			}
 		}
 		args, err := resp.ReadCommand(c.br, c.srv.cfg.MaxBulk)
 		if err != nil {
@@ -206,11 +214,12 @@ func (c *conn) cmdScan(args [][]byte, dst []byte) []byte {
 		end = args[2]
 	}
 	// SCAN reads the live tree without record locks even inside a
-	// transaction (PROTOCOL.md): cursors are latch-only by design.
+	// transaction (PROTOCOL.md): cursors are latch-only by design. Scan
+	// hands over slices the callback may keep, so they are not re-copied.
 	type kv struct{ k, v []byte }
 	pairs := make([]kv, 0, min(limit, 64))
 	scanErr := c.srv.tree.Scan(start, end, func(k, v []byte) bool {
-		pairs = append(pairs, kv{k: append([]byte(nil), k...), v: append([]byte(nil), v...)})
+		pairs = append(pairs, kv{k: k, v: v})
 		return len(pairs) < limit
 	})
 	if scanErr != nil {
