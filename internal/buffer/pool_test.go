@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -430,6 +431,107 @@ func BenchmarkFetchHit(b *testing.B) {
 		}
 		_ = obj
 		p.Unpin(id, false)
+	}
+}
+
+// imageStore answers every read with one shared page image, so a
+// benchmark over it measures the pool and not the store's page map.
+type imageStore struct {
+	storage.Store
+	img []byte
+}
+
+func (s imageStore) Read(page.PageID) ([]byte, error) { return s.img, nil }
+
+// BenchmarkFetchMiss makes every fetch a miss that evicts: it cycles in
+// order over twice as many pages as the pool holds, so each fetch finds
+// its page evicted and must evict another. The pages are clean, so no
+// eviction writes back. The clock is O(1) per miss, so ns/op should not
+// grow with the capacity.
+func BenchmarkFetchMiss(b *testing.B) {
+	for _, capacity := range []int{1024, 16384, 131072} {
+		b.Run(fmt.Sprintf("frames=%d", capacity), func(b *testing.B) {
+			store := imageStore{Store: storage.NewMemStore(128), img: make([]byte, 128)}
+			p := NewPool(store, nil, &testCodec{}, capacity)
+			pages := 2 * capacity
+			fetch := func(i int) {
+				id := page.PageID(1 + i%pages)
+				if _, err := p.Fetch(id); err != nil {
+					b.Fatal(err)
+				}
+				p.Unpin(id, false)
+			}
+			for i := 0; i < pages; i++ { // fill the pool and start evicting
+				fetch(i)
+			}
+			misses := p.Snapshot().Misses
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fetch(i)
+			}
+			b.StopTimer()
+			if got := p.Snapshot().Misses - misses; got != uint64(b.N) {
+				b.Fatalf("%d misses in %d fetches", got, b.N)
+			}
+		})
+	}
+}
+
+// TestClockCompactsInOrder checks the clock's slot array: it never grows
+// past twice the capacity however many frames come and go, every resident
+// frame sits in it exactly once at the slot it records, and compaction
+// keeps the frames' order and the hand on the same next frame.
+func TestClockCompactsInOrder(t *testing.T) {
+	p, store, _ := newTestPool(t, 4)
+	var ids []page.PageID
+	for i := 0; i < 20; i++ {
+		ids = append(ids, allocObj(t, p, store, byte(i)))
+	}
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			if _, err := p.Fetch(id); err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(id, false)
+		}
+	}
+	if _, err := p.Fetch(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	p.Discard(ids[0])
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.clock) > 2*p.capacity {
+		t.Fatalf("clock grew to %d slots for %d frames", len(p.clock), p.capacity)
+	}
+	var order []*frame
+	var next *frame // the frame the hand meets next
+	for i, f := range p.clock {
+		if f == nil {
+			continue
+		}
+		if f.slot != i || p.frames[f.id] != f {
+			t.Fatalf("slot %d holds frame %d recording slot %d", i, f.id, f.slot)
+		}
+		if next == nil && i >= p.hand {
+			next = f
+		}
+		order = append(order, f)
+	}
+	if len(order) != len(p.frames) {
+		t.Fatalf("%d frames in the clock, %d resident", len(order), len(p.frames))
+	}
+	if next == nil {
+		next = order[0]
+	}
+	p.compactClock()
+	if !reflect.DeepEqual(p.clock, order) {
+		t.Fatal("compaction reordered the clock")
+	}
+	if p.clock[p.hand%len(p.clock)] != next {
+		t.Fatal("compaction moved the hand to another frame")
 	}
 }
 

@@ -155,16 +155,9 @@ func (t *Tree) findLeafForCombine(key []byte, sp *obs.Span) (*node, []pathEntry,
 			})
 			level--
 		}
-		m, err := t.fetchSpan(next, sp)
-		if err != nil || !n.latch.Validate(v) {
-			if err == nil {
-				t.unpin(m)
-			}
-			t.unpin(n)
+		if n, ok = t.stepOpt(n, v, next, sp); !ok {
 			return nil, nil, false
 		}
-		t.unpin(n)
-		n = m
 	}
 	return n, path, true
 }

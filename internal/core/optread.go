@@ -16,6 +16,7 @@ import (
 //	v    ← latch.OptVersion()        (fails while an X holder exists)
 //	r    ← route snapshot
 //	        fence / level / dead checks on r; pick child or side pointer
+//	ok   ← latch.Validate(v)         (route still current: worth a fetch)
 //	pin the next node
 //	ok   ← latch.Validate(v)         (no X ownership intervened)
 //
@@ -112,16 +113,9 @@ func (t *Tree) traverseOpt(o traverseOpts) (*node, []pathEntry, bool) {
 				return nil, nil, false
 			}
 			t.enqueuePostFromRoute(n.id, r, path, o.dx)
-			m, err := t.fetchSpan(r.right, o.sp)
-			if err != nil || !n.latch.Validate(v) {
-				if err == nil {
-					t.unpin(m)
-				}
-				t.unpin(n)
+			if n, ok = t.stepOpt(n, v, r.right, o.sp); !ok {
 				return nil, nil, false
 			}
-			t.unpin(n)
-			n = m
 			t.c.sideTraversals.Add(1)
 			continue
 		}
@@ -136,16 +130,9 @@ func (t *Tree) traverseOpt(o traverseOpts) (*node, []pathEntry, bool) {
 			dd:    r.dd,
 		})
 		t.maybeEnqueueDeleteFromRoute(n.id, r, path, o.dx)
-		m, err := t.fetchSpan(r.children[ci], o.sp)
-		if err != nil || !n.latch.Validate(v) {
-			if err == nil {
-				t.unpin(m)
-			}
-			t.unpin(n)
+		if n, ok = t.stepOpt(n, v, r.children[ci], o.sp); !ok {
 			return nil, nil, false
 		}
-		t.unpin(n)
-		n = m
 		level--
 	}
 	// Target level: the only latch of the whole descent. Everything decided
@@ -183,6 +170,30 @@ func (t *Tree) traverseOpt(o traverseOpts) (*node, []pathEntry, bool) {
 		t.c.sideTraversals.Add(1)
 	}
 	return n, path, true
+}
+
+// stepOpt moves an optimistic descent from n, whose routing snapshot was
+// read at version v, to the node id that snapshot names: it returns id
+// pinned and n unpinned. n is validated before the fetch, so a route that
+// is already stale never starts loading a page (possibly one just freed
+// and being reused), and again after it, because the child must have been
+// pinned while the route was current. On a failed validation or fetch
+// nothing stays pinned and ok is false: the descent restarts.
+func (t *Tree) stepOpt(n *node, v uint64, id page.PageID, sp *obs.Span) (*node, bool) {
+	if !n.latch.Validate(v) {
+		t.unpin(n)
+		return nil, false
+	}
+	m, err := t.fetchSpan(id, sp)
+	if err != nil || !n.latch.Validate(v) {
+		if err == nil {
+			t.unpin(m)
+		}
+		t.unpin(n)
+		return nil, false
+	}
+	t.unpin(n)
+	return m, true
 }
 
 // enqueuePostFromRoute is enqueuePostFromSideMove for an optimistic side
@@ -298,16 +309,9 @@ func (t *Tree) descendPredOpt(bound []byte) (*node, func(), bool) {
 			sib = r.right
 		}
 		if sib != 0 {
-			m, err := t.fetch(sib)
-			if err != nil || !n.latch.Validate(v) {
-				if err == nil {
-					t.unpin(m)
-				}
-				t.unpin(n)
+			if n, ok = t.stepOpt(n, v, sib, nil); !ok {
 				return nil, nil, false
 			}
-			t.unpin(n)
-			n = m
 			t.c.sideTraversals.Add(1)
 			continue
 		}
@@ -331,16 +335,9 @@ func (t *Tree) descendPredOpt(bound []byte) (*node, func(), bool) {
 			t.unpin(n)
 			return nil, nil, false
 		}
-		m, err := t.fetch(r.children[ci])
-		if err != nil || !n.latch.Validate(v) {
-			if err == nil {
-				t.unpin(m)
-			}
-			t.unpin(n)
+		if n, ok = t.stepOpt(n, v, r.children[ci], nil); !ok {
 			return nil, nil, false
 		}
-		t.unpin(n)
-		n = m
 		level--
 	}
 	n.latch.Acquire(latch.Shared)

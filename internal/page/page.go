@@ -279,105 +279,173 @@ func Marshal(c *Content, pageSize int) ([]byte, error) {
 
 // Unmarshal parses a page image produced by Marshal. The returned Content
 // does not alias buf.
+//
+// A page load costs a fixed handful of allocations whatever the record
+// count: the fences and every key and value are copied into one arena
+// sized exactly, and Low, High, Keys[i] and Vals[i] are sub-slices of it,
+// each clipped to its own length (cap == len) so that an append to one
+// reallocates instead of writing into its neighbour. Index pages stored
+// with a compressed prefix get their rebuilt full keys in the arena too.
+// The arena relies on the rule that a Content's fence, key and value bytes
+// are never written in place; every mutation assigns a fresh slice.
 func Unmarshal(buf []byte) (*Content, error) {
+	e, err := scan(buf)
+	if err != nil {
+		return nil, err
+	}
+	want := binary.LittleEndian.Uint32(buf[offCRC:])
+	if got := crc32.Checksum(buf[crcStart:e.end], castagnoli); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	}
+	return decode(buf, e), nil
+}
+
+// extent is what scan learns about a page image.
+type extent struct {
+	kind     Kind
+	hasHigh  bool
+	nkeys    int
+	lowAt    int // offset of the low fence
+	highAt   int // offset of the high fence
+	entries  int // offset of the first entry
+	cp       int // fence prefix elided from every stored key
+	end      int // end of the payload: the checksum covers buf[crcStart:end]
+	arenaLen int // bytes for the fences and every full key and value
+}
+
+// scan is Unmarshal's first pass: it checks every length in buf against
+// the buffer and finds where the payload ends and how large the arena must
+// be. It allocates nothing and does not check the checksum.
+func scan(buf []byte) (extent, error) {
+	var e extent
 	if len(buf) < headerSize || string(buf[0:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return e, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	c := &Content{
-		Kind:  Kind(buf[offKind]),
-		Level: buf[offLevel],
-		ID:    PageID(binary.LittleEndian.Uint64(buf[offID:])),
-		LSN:   binary.LittleEndian.Uint64(buf[offLSN:]),
-		Right: PageID(binary.LittleEndian.Uint64(buf[offRight:])),
-		DD:    binary.LittleEndian.Uint64(buf[offDD:]),
-		Epoch: binary.LittleEndian.Uint64(buf[offEpoch:]),
-	}
-	if c.Kind != Leaf && c.Kind != Index {
-		return nil, fmt.Errorf("%w: kind %d", ErrCorrupt, c.Kind)
+	e.kind = Kind(buf[offKind])
+	if e.kind != Leaf && e.kind != Index {
+		return e, fmt.Errorf("%w: kind %d", ErrCorrupt, e.kind)
 	}
 	flags := binary.LittleEndian.Uint16(buf[offFlags:])
-	nkeys := int(binary.LittleEndian.Uint16(buf[offKeyCount:]))
+	if flags&^(flagHasHigh|flagPrefix) != 0 {
+		return e, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags)
+	}
+	e.hasHigh = flags&flagHasHigh != 0
+	e.nkeys = int(binary.LittleEndian.Uint16(buf[offKeyCount:]))
 	lowLen := int(binary.LittleEndian.Uint16(buf[offLowLen:]))
 	highLen := int(binary.LittleEndian.Uint16(buf[offHighLen:]))
 
-	p := offPayload
-	take := func(n int) ([]byte, error) {
-		if p+n > len(buf) {
-			return nil, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, p)
-		}
-		b := make([]byte, n)
-		copy(b, buf[p:p+n])
-		p += n
-		return b, nil
+	e.lowAt = offPayload
+	e.highAt = e.lowAt + lowLen
+	e.entries = e.highAt + highLen
+	if e.highAt > len(buf) {
+		return e, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, e.lowAt)
 	}
-	var err error
-	if c.Low, err = take(lowLen); err != nil {
-		return nil, err
+	if !e.hasHigh && highLen != 0 {
+		return e, fmt.Errorf("%w: high length without flag", ErrCorrupt)
 	}
-	if flags&flagHasHigh != 0 {
-		if c.High, err = take(highLen); err != nil {
-			return nil, err
-		}
-	} else if highLen != 0 {
-		return nil, fmt.Errorf("%w: high length without flag", ErrCorrupt)
+	if e.entries > len(buf) {
+		return e, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, e.highAt)
 	}
-	cp := 0
 	if flags&flagPrefix != 0 {
-		c.Compress = true
-		if cp = c.PrefixLen(); cp == 0 {
-			return nil, fmt.Errorf("%w: prefix flag on incompressible page", ErrCorrupt)
+		if e.kind == Index && e.hasHigh && lowLen > 0 {
+			e.cp = commonPrefix(buf[e.lowAt:e.highAt], buf[e.highAt:e.entries])
+		}
+		if e.cp == 0 {
+			return e, fmt.Errorf("%w: prefix flag on incompressible page", ErrCorrupt)
 		}
 	}
-	c.Keys = make([][]byte, 0, nkeys)
-	if c.Kind == Leaf {
-		c.Vals = make([][]byte, 0, nkeys)
-	} else {
-		c.Children = make([]PageID, 0, nkeys)
-	}
-	for i := 0; i < nkeys; i++ {
+	e.arenaLen = lowLen + highLen
+	p := e.entries
+	for i := 0; i < e.nkeys; i++ {
 		if p+2 > len(buf) {
-			return nil, fmt.Errorf("%w: truncated key length", ErrCorrupt)
+			return e, fmt.Errorf("%w: truncated key length", ErrCorrupt)
 		}
 		klen := int(binary.LittleEndian.Uint16(buf[p:]))
 		p += 2
-		var k []byte
-		if cp > 0 {
-			// Reconstruct the full key: elided fence prefix + stored tail.
-			if p+klen > len(buf) {
-				return nil, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, p)
-			}
-			k = make([]byte, cp+klen)
-			copy(k, c.Low[:cp])
-			copy(k[cp:], buf[p:p+klen])
-			p += klen
-		} else if k, err = take(klen); err != nil {
-			return nil, err
+		if p+klen > len(buf) {
+			return e, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, p)
 		}
-		c.Keys = append(c.Keys, k)
-		if c.Kind == Leaf {
+		if e.cp+klen > maxEntryLen {
+			return e, fmt.Errorf("%w: key %d too long with its prefix", ErrCorrupt, i)
+		}
+		p += klen
+		e.arenaLen += e.cp + klen
+		if e.kind == Leaf {
 			if p+2 > len(buf) {
-				return nil, fmt.Errorf("%w: truncated value length", ErrCorrupt)
+				return e, fmt.Errorf("%w: truncated value length", ErrCorrupt)
 			}
 			vlen := int(binary.LittleEndian.Uint16(buf[p:]))
 			p += 2
-			v, err := take(vlen)
-			if err != nil {
-				return nil, err
+			if p+vlen > len(buf) {
+				return e, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, p)
 			}
-			c.Vals = append(c.Vals, v)
+			p += vlen
+			e.arenaLen += vlen
 		} else {
 			if p+8 > len(buf) {
-				return nil, fmt.Errorf("%w: truncated child pointer", ErrCorrupt)
+				return e, fmt.Errorf("%w: truncated child pointer", ErrCorrupt)
 			}
-			c.Children = append(c.Children, PageID(binary.LittleEndian.Uint64(buf[p:])))
 			p += 8
 		}
 	}
-	want := binary.LittleEndian.Uint32(buf[offCRC:])
-	if got := crc32.Checksum(buf[crcStart:p], castagnoli); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %08x want %08x)", ErrCorrupt, got, want)
+	e.end = p
+	return e, nil
+}
+
+// decode is Unmarshal's second pass: it builds the Content, copying the
+// fences, keys and values into one arena. scan has checked every length.
+func decode(buf []byte, e extent) *Content {
+	c := &Content{
+		Kind:     e.kind,
+		Level:    buf[offLevel],
+		ID:       PageID(binary.LittleEndian.Uint64(buf[offID:])),
+		LSN:      binary.LittleEndian.Uint64(buf[offLSN:]),
+		Right:    PageID(binary.LittleEndian.Uint64(buf[offRight:])),
+		DD:       binary.LittleEndian.Uint64(buf[offDD:]),
+		Epoch:    binary.LittleEndian.Uint64(buf[offEpoch:]),
+		Compress: e.cp > 0,
 	}
-	return c, nil
+	arena := make([]byte, e.arenaLen)
+	a := copy(arena, buf[e.lowAt:e.highAt])
+	c.Low = arena[:a:a]
+	if e.hasHigh {
+		s := a
+		a += copy(arena[a:], buf[e.highAt:e.entries])
+		c.High = arena[s:a:a]
+	}
+	var keys, vals [][]byte
+	var children []PageID
+	if e.kind == Leaf {
+		keys, vals = make([][]byte, e.nkeys), make([][]byte, e.nkeys)
+	} else {
+		keys, children = make([][]byte, e.nkeys), make([]PageID, e.nkeys)
+	}
+	prefix := c.Low[:e.cp] // the elided fence prefix; empty unless compressed
+	p := e.entries
+	for i := range keys {
+		klen := int(binary.LittleEndian.Uint16(buf[p:]))
+		p += 2
+		s := a
+		if e.cp > 0 {
+			a += copy(arena[a:], prefix)
+		}
+		a += copy(arena[a:], buf[p:p+klen])
+		p += klen
+		keys[i] = arena[s:a:a]
+		if e.kind == Leaf {
+			vlen := int(binary.LittleEndian.Uint16(buf[p:]))
+			p += 2
+			s = a
+			a += copy(arena[a:], buf[p:p+vlen])
+			p += vlen
+			vals[i] = arena[s:a:a]
+		} else {
+			children[i] = PageID(binary.LittleEndian.Uint64(buf[p:]))
+			p += 8
+		}
+	}
+	c.Keys, c.Vals, c.Children = keys, vals, children
+	return c
 }
 
 // validate checks structural consistency before marshaling.
